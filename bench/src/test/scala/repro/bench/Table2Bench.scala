@@ -10,7 +10,7 @@ import repro.exp.{ExpConfig, Table2}
 class Table2Bench extends SparkSpec {
 
   test("Table 2: sweep-rule proportions") {
-    val rows = Table2.runAndEmit(spark)
+    val rows = Table2.runAndEmit()
     assert(rows.length == ExpConfig.datasets.length)
     rows.foreach { r =>
       Seq(r.ns1, r.ns2, r.gs, r.nonPru).foreach(x => assert(x >= 0 && x <= 1, r.name))

@@ -16,7 +16,7 @@ object GlobalCut {
   /** Returns Some(cut local indices) with |cut| < k, or None if k-connected.
     * `stats`, when provided, tallies LOC-CUT invocations (flow tests).
     */
-  def find(g: AdjGraph, k: Int, stats: KvccStats = KvccStats.noop): Option[Array[Int]] = {
+  def find(g: AdjGraph, k: Int, stats: KvccStats = new KvccStats): Option[Array[Int]] = {
     val cert = SparseCertificate.compute(g, k).graph
     val fn = new FlowNetwork(cert)
     val u = cert.minDegreeVertex
@@ -25,7 +25,7 @@ object GlobalCut {
     var v = 0
     while (v < n) {
       if (v != u) {
-        if (!(v == u || cert.hasEdge(u, v))) stats.flowTests += 1
+        if (!cert.hasEdge(u, v)) stats.flowTests += 1
         stats.phase1Processed += 1
         stats.phase1Tested += 1
         val cut = LocalConnectivity.locCut(fn, cert, u, v, k)

@@ -21,10 +21,10 @@ object KVCCEnumerator {
       g0: AdjGraph,
       k: Int,
       variant: Variant = Variant.Star,
-      stats: KvccStats = KvccStats.noop): Vector[AdjGraph] = {
+      stats: KvccStats = new KvccStats): Vector[AdjGraph] = {
     require(k >= 1, s"k must be >= 1, got $k")
     val out = Vector.newBuilder[AdjGraph]
-    val seen = mutable.HashSet.empty[Seq[Long]] // defensive dedup (Lemma 3 says it never fires)
+    val seen = mutable.HashSet.empty[Seq[Long]] // Lemma 3: no k-VCC is found twice
     val work = mutable.Stack[AdjGraph](g0)
     while (work.nonEmpty) {
       val h = GraphOps.kCore(work.pop(), k)
@@ -39,8 +39,9 @@ object KVCCEnumerator {
           }
           cut match {
             case None =>
-              val key = comp.sortedIds.toSeq
-              if (seen.add(key)) out += comp
+              require(seen.add(comp.sortedIds.toSeq),
+                s"k-VCC of ${comp.n} vertices emitted twice at k=$k (contradicts Lemma 3)")
+              out += comp
             case Some(s) =>
               stats.partitions += 1
               Overlap.partition(comp, s).foreach(work.push)

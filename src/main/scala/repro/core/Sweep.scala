@@ -62,11 +62,6 @@ final class KvccStats extends Serializable {
       f"NS1=$proportionNs1%.2f, NS2=$proportionNs2%.2f, GS=$proportionGs%.2f, nonPru=$proportionNonPruned%.2f)"
 }
 
-object KvccStats {
-  /** Shared sink for callers that do not care about counters. */
-  val noop: KvccStats = new KvccStats
-}
-
 /** Strong side-vertex detection (Definition 10 / Theorem 8): u is a strong
   * side-vertex if every pair of its neighbors is adjacent or shares at least
   * k common neighbors — then no vertex cut of size < k contains u.
@@ -137,7 +132,7 @@ object GlobalCutStar {
   private final val RuleNs2: Byte = 2
   private final val RuleGs: Byte = 3
 
-  def find(g: AdjGraph, k: Int, variant: Variant, stats: KvccStats = KvccStats.noop): Option[Array[Int]] = {
+  def find(g: AdjGraph, k: Int, variant: Variant, stats: KvccStats = new KvccStats): Option[Array[Int]] = {
     val SparseCertificate.Cert(cert, allGroups) = SparseCertificate.compute(g, k)
     val n = cert.n
     val fn = new FlowNetwork(cert)

@@ -1,10 +1,8 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{KVCCEnumerator, KvccStats, Variant}
 import repro.gen.Datasets
-import repro.graph.{AdjGraph, GraphOps}
-import repro.spark.{EdgeOps, KVCCSpark}
+import repro.graph.AdjGraph
 
 /** Reproduces paper Table 2 (PROPORTION FOR DIFFERENT RULES): the fraction of
   * phase-1 vertices of GLOBAL-CUT* that were pruned by neighbor sweep rule 1
@@ -27,21 +25,16 @@ object Table2 {
 
   final case class Row(name: String, ns1: Double, ns2: Double, gs: Double, nonPru: Double)
 
-  /** Per-dataset averages of the per-k rule proportions.
-    * `useSpark` routes k-core + CC through the distributed pipeline; the
-    * per-component recursion (where the counters live) is identical.
+  /** Per-dataset averages of the per-k rule proportions. The counters live in
+    * the per-component recursion, so the local kernel gives the same values
+    * as `KVCCSpark.enumerate` (KVCCSparkSpec checks this).
     */
-  def run(spark: SparkSession, scale: Double = ExpConfig.scale, useSpark: Boolean = false): Vector[Row] =
+  def run(scale: Double = ExpConfig.scale): Vector[Row] =
     ExpConfig.datasets.map { spec =>
-      val edges = Datasets.generate(spec, scale)
+      val g = AdjGraph.fromEdges(Datasets.generate(spec, scale))
       val props = ExpConfig.kValues.map { k =>
-        val stats =
-          if (useSpark) KVCCSpark.enumerateWithStats(EdgeOps.toDF(spark, edges), k, Variant.Star)._2
-          else {
-            val s = new KvccStats
-            KVCCEnumerator.enumerate(AdjGraph.fromEdges(edges), k, Variant.Star, s)
-            s
-          }
+        val stats = new KvccStats
+        KVCCEnumerator.enumerate(g, k, Variant.Star, stats)
         (stats.proportionNs1, stats.proportionNs2, stats.proportionGs, stats.proportionNonPruned)
       }
       val n = props.length.toDouble
@@ -72,9 +65,9 @@ object Table2 {
       header, body)
   }
 
-  def runAndEmit(spark: SparkSession, useSpark: Boolean = false): Vector[Row] = {
+  def runAndEmit(): Vector[Row] = {
     val scale = ExpConfig.scale
-    val rows = run(spark, scale, useSpark)
+    val rows = run(scale)
     Tables.emit("table2_sweep_rules.txt", render(rows, scale))
     rows
   }

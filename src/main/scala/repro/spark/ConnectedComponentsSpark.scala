@@ -1,18 +1,12 @@
 package repro.spark
 
 import org.apache.spark.graphx.{Edge, Graph}
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 
-/** Distributed connected components (Algorithm 1, line 3).
-  *
-  * Two implementations with identical semantics — each vertex is labeled by
-  * the minimum vertex id of its component:
-  *  - `viaGraphX`: the GraphX `ConnectedComponents` Pregel program;
-  *  - `viaDataFrame`: min-label propagation as an iterative DataFrame join
-  *    (converges in O(component diameter) rounds).
-  * Tests cross-check them against each other, against the local kernel, and
-  * against a DuckDB recursive-CTE oracle.
+/** Distributed connected components (Algorithm 1, line 3) via the GraphX
+  * `ConnectedComponents` Pregel program: each vertex is labeled by the
+  * minimum vertex id of its component. Tests check it against the local
+  * kernel and against a DuckDB recursive-CTE oracle.
   */
 object ConnectedComponentsSpark {
 
@@ -24,47 +18,5 @@ object ConnectedComponentsSpark {
     val cc = graph.connectedComponents().vertices // (vid, lowest id in component)
     spark.createDataFrame(cc.map { case (v, c) => (v, c) })
       .toDF("vertex", "component")
-  }
-
-  /** (vertex: long, component: long) via DataFrame min-label propagation. */
-  def viaDataFrame(canonicalEdges: DataFrame, maxIter: Int = 10000): DataFrame = {
-    val sym = EdgeOps.symmetric(canonicalEdges).localCheckpoint()
-    var labels = sym.select(col("src").as("vertex")).distinct()
-      .withColumn("component", col("vertex"))
-      .localCheckpoint()
-    var it = 0
-    var changed = true
-    while (changed && it < maxIter) {
-      val viaNeighbors = sym
-        .join(labels.withColumnRenamed("vertex", "dst"), "dst")
-        .groupBy(col("src").as("vertex"))
-        .agg(min(col("component")).as("nbComponent"))
-      val next = labels
-        .join(viaNeighbors, Seq("vertex"), "left")
-        .select(
-          col("vertex"),
-          least(col("component"), coalesce(col("nbComponent"), col("component"))).as("component"))
-        .localCheckpoint()
-      val nChanged = next.as("a")
-        .join(labels.as("b"), col("a.vertex") === col("b.vertex"))
-        .where(col("a.component") =!= col("b.component"))
-        .count()
-      changed = nChanged > 0
-      labels = next
-      it += 1
-    }
-    require(it < maxIter, s"label propagation did not converge in $maxIter iterations")
-    labels
-  }
-
-  /** Group a canonical edge table by the component of its endpoints:
-    * returns (component, edges-of-that-component) with isolated-vertex-free
-    * components (every component here has ≥ 1 edge).
-    */
-  def componentsWithEdges(canonicalEdges: DataFrame, labels: DataFrame)(
-      implicit spark: SparkSession): DataFrame = {
-    canonicalEdges
-      .join(labels.withColumnRenamed("vertex", "src"), "src")
-      .select(col("component"), col("src"), col("dst"))
   }
 }

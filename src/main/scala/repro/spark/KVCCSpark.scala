@@ -17,45 +17,29 @@ import repro.graph.AdjGraph
 object KVCCSpark {
 
   /** All k-VCCs of the graph in `edges` (any (src,dst) table), as sorted
-    * vertex-id vectors.
+    * vertex-id vectors. Each component's task counts into its own
+    * `KvccStats`; the driver adds them all into `stats`.
     */
-  def enumerate(edges: DataFrame, k: Int, variant: Variant = Variant.Star): Vector[Vector[Long]] = {
-    val comps = componentEdgeLists(edges, k)
-    val result = comps.flatMap { case (_, es) =>
-      val g = AdjGraph.fromEdges(es)
-      KVCCEnumerator.enumerate(g, k, variant).map(_.sortedIds.toVector)
-    }
-    result.collect().toVector.sortBy(v => (v.length, v.mkString(",")))
-  }
-
-  /** Same pipeline, but components are enumerated on the driver so a single
-    * mutable `KvccStats` can aggregate the Table-2 counters.
-    */
-  def enumerateWithStats(
+  def enumerate(
       edges: DataFrame,
       k: Int,
-      variant: Variant = Variant.Star): (Vector[Vector[Long]], KvccStats) = {
-    val stats = new KvccStats
-    val comps = componentEdgeLists(edges, k).collect()
-    val out = comps.toVector.flatMap { case (_, es) =>
-      val g = AdjGraph.fromEdges(es)
-      KVCCEnumerator.enumerate(g, k, variant, stats).map(_.sortedIds.toVector)
-    }
-    (out.sortBy(v => (v.length, v.mkString(","))), stats)
-  }
-
-  /** Spark k-core + GraphX CC, returning one (component, edgeList) per
-    * post-core connected component as an RDD.
-    */
-  private def componentEdgeLists(edges: DataFrame, k: Int) = {
+      variant: Variant = Variant.Star,
+      stats: KvccStats = new KvccStats): Vector[Vector[Long]] = {
     val core = KCoreSpark.kCore(edges, k)
     val labels = ConnectedComponentsSpark.viaGraphX(core)
-    val tagged = core
+    val perComponent = core
       .join(labels.withColumnRenamed("vertex", "src"), "src")
       .select("component", "src", "dst")
-    tagged.rdd
+      .rdd
       .map(r => (r.getLong(0), (r.getLong(1), r.getLong(2))))
       .groupByKey()
-      .map { case (comp, es) => (comp, es.toArray) }
+      .map { case (_, es) =>
+        val s = new KvccStats
+        val kvccs = KVCCEnumerator.enumerate(AdjGraph.fromEdges(es), k, variant, s)
+        (kvccs.map(_.sortedIds.toVector), s)
+      }
+      .collect()
+    perComponent.foreach { case (_, s) => stats.add(s) }
+    perComponent.toVector.flatMap(_._1).sortBy(v => (v.length, v.mkString(",")))
   }
 }

@@ -23,7 +23,7 @@ class ExpSpec extends SparkSpec {
   }
 
   test("Table 2 harness produces proportions in [0,1] that sum to <= 1") {
-    val rows = Table2.run(spark, tinyScale)
+    val rows = Table2.run(tinyScale)
     assert(rows.length == 7)
     rows.foreach { r =>
       Seq(r.ns1, r.ns2, r.gs, r.nonPru).foreach(x => assert(x >= 0 && x <= 1))
