@@ -14,11 +14,12 @@ import repro.graph.AdjGraph
 object GlobalCut {
 
   /** Returns Some(cut local indices) with |cut| < k, or None if k-connected.
-    * `stats`, when provided, tallies LOC-CUT invocations (flow tests).
+    * `stats`, when provided, tallies LOC-CUT invocations (flow tests) and
+    * their max-flow phases and augmenting paths.
     */
   def find(g: AdjGraph, k: Int, stats: KvccStats = new KvccStats): Option[Array[Int]] = {
     val cert = SparseCertificate.compute(g, k).graph
-    val fn = new FlowNetwork(cert)
+    val fn = new FlowNetwork(cert, stats)
     val u = cert.minDegreeVertex
     val n = cert.n
     // Phase 1: u against all other vertices.

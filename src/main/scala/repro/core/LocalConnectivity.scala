@@ -18,7 +18,7 @@ object LocalConnectivity {
     fn.reset()
     val lambda = fn.maxFlowUpTo(u, v, k)
     if (lambda >= k) None
-    else Some(fn.minCutVertices(u))
+    else Some(fn.minCutVertices())
   }
 
   /** κ(u,v) capped at `cap` (+∞ collapses to `cap` for adjacent pairs). */

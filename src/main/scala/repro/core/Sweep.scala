@@ -38,6 +38,8 @@ final class KvccStats extends Serializable {
   var prunedNs1: Long = 0     // neighbor sweep rule 1 (strong side-vertex)
   var prunedNs2: Long = 0     // neighbor sweep rule 2 (vertex deposit)
   var prunedGs: Long = 0      // group sweep (rules 1 and 2)
+  var flowPhases: Long = 0      // residual BFS rounds in LOC-CUT max-flows
+  var augmentingPaths: Long = 0 // flow units pushed by those max-flows
 
   def add(o: KvccStats): Unit = {
     globalCutCalls += o.globalCutCalls
@@ -48,6 +50,8 @@ final class KvccStats extends Serializable {
     prunedNs1 += o.prunedNs1
     prunedNs2 += o.prunedNs2
     prunedGs += o.prunedGs
+    flowPhases += o.flowPhases
+    augmentingPaths += o.augmentingPaths
   }
 
   def proportionNs1: Double = ratio(prunedNs1)
@@ -59,7 +63,8 @@ final class KvccStats extends Serializable {
 
   override def toString: String =
     f"KvccStats(calls=$globalCutCalls, partitions=$partitions, flows=$flowTests, " +
-      f"NS1=$proportionNs1%.2f, NS2=$proportionNs2%.2f, GS=$proportionGs%.2f, nonPru=$proportionNonPruned%.2f)"
+      f"NS1=$proportionNs1%.2f, NS2=$proportionNs2%.2f, GS=$proportionGs%.2f, nonPru=$proportionNonPruned%.2f, " +
+      f"phases=$flowPhases, paths=$augmentingPaths)"
 }
 
 /** Strong side-vertex detection (Definition 10 / Theorem 8): u is a strong
@@ -135,7 +140,7 @@ object GlobalCutStar {
   def find(g: AdjGraph, k: Int, variant: Variant, stats: KvccStats = new KvccStats): Option[Array[Int]] = {
     val SparseCertificate.Cert(cert, allGroups) = SparseCertificate.compute(g, k)
     val n = cert.n
-    val fn = new FlowNetwork(cert)
+    val fn = new FlowNetwork(cert, stats)
 
     val groups: Vector[Array[Int]] = if (variant.groupSweep) allGroups else Vector.empty
     val groupOf = Array.fill(n)(-1)
@@ -208,15 +213,29 @@ object GlobalCutStar {
 
     // Phase 1: non-ascending distance from u (far vertices are the likeliest
     // to sit across a cut, so the cut is found early).
+    // Counting sort on bucket maxDist - dist: distance high to low, vertex
+    // index low to high within one distance (a stable sort's order).
+    // Unreachable vertices (distance -1) fall in the last bucket.
     val dist = GraphOps.bfsDistances(cert, u)
-    // Stable sort by descending distance (the per-component invocation
-    // guarantees every vertex is reachable from u).
-    val boxed = Array.tabulate(n)(identity).filter(_ != u)
-      .map(v => (v, dist(v))).sortBy { case (_, d) => -d }.map(_._1)
+    val maxDist = dist.max
+    val bucketStart = new Array[Int](maxDist + 3)
+    var w = 0
+    while (w < n) { if (w != u) bucketStart(maxDist - dist(w) + 1) += 1; w += 1 }
+    var b = 1
+    while (b < bucketStart.length) { bucketStart(b) += bucketStart(b - 1); b += 1 }
+    val order = new Array[Int](n - 1)
+    w = 0
+    while (w < n) {
+      if (w != u) {
+        val bw = maxDist - dist(w)
+        order(bucketStart(bw)) = w; bucketStart(bw) += 1
+      }
+      w += 1
+    }
 
     var idx = 0
-    while (idx < boxed.length) {
-      val v = boxed(idx)
+    while (idx < order.length) {
+      val v = order(idx)
       stats.phase1Processed += 1
       if (pru(v)) {
         ruleOf(v) match {

@@ -24,7 +24,7 @@ class FlowNetworkSpec extends SparkSpec {
     fn.reset()
     val f = fn.maxFlowUpTo(0, 2, 10)
     assert(f == 2)
-    val cut = fn.minCutVertices(0)
+    val cut = fn.minCutVertices()
     assert(cut.toSet == Set(1, 3))
   }
 
@@ -66,7 +66,7 @@ class FlowNetworkSpec extends SparkSpec {
         if (u != v && !g.hasEdge(u, v)) {
           fn.reset()
           val flow = fn.maxFlowUpTo(u, v, g.n) // uncapped: true max flow
-          val cut = fn.minCutVertices(u)
+          val cut = fn.minCutVertices()
           assert(cut.length == flow, s"cut size ${cut.length} != flow $flow")
           assert(!cut.contains(u) && !cut.contains(v))
           // Removing the cut must separate u from v.
@@ -100,5 +100,56 @@ class FlowNetworkSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  /** The u-side vertex set of G − cut that contains u. */
+  private def uSide(g: AdjGraph, cut: Set[Int], u: Int): Set[Int] = {
+    val rest = (0 until g.n).filterNot(cut).toArray
+    val dist = GraphOps.bfsDistances(g.induced(rest), rest.indexOf(u))
+    rest.indices.filter(dist(_) >= 0).map(rest(_)).toSet
+  }
+
+  for (seed <- 1 to 15) {
+    test(s"min cut is the minimum u-v cut with the smallest u side (seed=$seed)") {
+      val n = 6 + seed % 5
+      val g = randomConnected(n, 0.3, seed * 17)
+      val fn = new FlowNetwork(g)
+      for (u <- 0 until n; v <- 0 until n if u != v && !g.hasEdge(u, v)) {
+        val kappa = BruteForce.localConnectivityNaive(g, u, v)
+        val separators = (0 until n).filter(w => w != u && w != v).combinations(kappa)
+          .map(_.toSet).filter(s => !uSide(g, s, u).contains(v)).toVector
+        val expected = separators.minBy(s => uSide(g, s, u).size)
+        fn.reset()
+        assert(fn.maxFlowUpTo(u, v, n) == kappa)
+        assert(fn.minCutVertices().toSet == expected, s"u=$u v=$v")
+      }
+    }
+  }
+
+  test("a reused network answers 200 mixed locCut calls like a fresh one") {
+    val g = randomConnected(30, 0.15, 77)
+    val fn = new FlowNetwork(g)
+    val rnd = new Random(78)
+    for (_ <- 0 until 200) {
+      val u = rnd.nextInt(g.n); val v = rnd.nextInt(g.n); val k = 1 + rnd.nextInt(g.n)
+      val reused = LocalConnectivity.locCut(fn, g, u, v, k).map(_.toVector)
+      val fresh = LocalConnectivity.locCut(new FlowNetwork(g), g, u, v, k).map(_.toVector)
+      assert(reused == fresh, s"u=$u v=$v k=$k")
+    }
+  }
+
+  test("max flow on a 20,000-vertex cycle runs on a 256 KB thread stack") {
+    val n = 20000
+    val g = AdjGraph.fromEdges((0 until n).map(i => (i.toLong, ((i + 1) % n).toLong)))
+    var result: Option[Array[Int]] = None
+    var failure: Throwable = null
+    val worker = new Thread(null, () =>
+      try result = LocalConnectivity.locCut(new FlowNetwork(g), g, 0, n / 2, 3)
+      catch { case e: Throwable => failure = e },
+      "small-stack", 256 * 1024)
+    worker.start()
+    worker.join()
+    assert(failure == null, s"max flow failed: $failure")
+    assert(result.map(_.toSet) == Some(Set(1, n - 1)))
   }
 }
