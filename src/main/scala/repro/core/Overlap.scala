@@ -14,21 +14,10 @@ object Overlap {
     * would make the enumeration loop forever on an unsplittable graph).
     */
   def partition(g: AdjGraph, cut: Array[Int]): Vector[AdjGraph] = {
-    val inCut = new Array[Boolean](g.n)
-    cut.foreach(inCut(_) = true)
-    val keep = (0 until g.n).filter(!inCut(_)).toArray
-    val remainder = g.induced(keep)
-    val comps = GraphOps.connectedComponents(remainder)
+    val comps = GraphOps.connectedComponents(g, exclude = cut)
     require(
       comps.length >= 2,
       s"OVERLAP-PARTITION: removing ${cut.length} vertices left ${comps.length} component(s) — not a cut")
-    comps.map { comp =>
-      // Map remainder-local indices back to g-local indices, then add S.
-      val members = new Array[Int](comp.length + cut.length)
-      var i = 0
-      while (i < comp.length) { members(i) = keep(comp(i)); i += 1 }
-      System.arraycopy(cut, 0, members, comp.length, cut.length)
-      g.induced(members)
-    }
+    g.inducedAll(comps.map(Array.concat(_, cut)))
   }
 }

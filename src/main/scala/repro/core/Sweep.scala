@@ -40,7 +40,9 @@ final class KvccStats extends Serializable {
   var prunedGs: Long = 0      // group sweep (rules 1 and 2)
   var flowPhases: Long = 0      // residual BFS rounds in LOC-CUT max-flows
   var augmentingPaths: Long = 0 // flow units pushed by those max-flows
+  var maxDepth: Long = 0        // partition-tree depth (the input graph is depth 0)
 
+  /** Adds `o`'s counters into this one; `maxDepth` takes the larger of the two. */
   def add(o: KvccStats): Unit = {
     globalCutCalls += o.globalCutCalls
     partitions += o.partitions
@@ -52,6 +54,7 @@ final class KvccStats extends Serializable {
     prunedGs += o.prunedGs
     flowPhases += o.flowPhases
     augmentingPaths += o.augmentingPaths
+    maxDepth = math.max(maxDepth, o.maxDepth)
   }
 
   def proportionNs1: Double = ratio(prunedNs1)
@@ -64,7 +67,7 @@ final class KvccStats extends Serializable {
   override def toString: String =
     f"KvccStats(calls=$globalCutCalls, partitions=$partitions, flows=$flowTests, " +
       f"NS1=$proportionNs1%.2f, NS2=$proportionNs2%.2f, GS=$proportionGs%.2f, nonPru=$proportionNonPruned%.2f, " +
-      f"phases=$flowPhases, paths=$augmentingPaths)"
+      f"phases=$flowPhases, paths=$augmentingPaths, depth=$maxDepth)"
 }
 
 /** Strong side-vertex detection (Definition 10 / Theorem 8): u is a strong

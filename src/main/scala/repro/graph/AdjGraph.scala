@@ -95,38 +95,60 @@ final class AdjGraph private[graph] (
   /** Sorted original vertex ids. */
   def sortedIds: Array[Long] = { val a = ids.clone(); java.util.Arrays.sort(a); a }
 
-  /** Induced subgraph on the given local vertex indices (original ids kept). */
-  def induced(keep: Array[Int]): AdjGraph = {
-    val map = new mutable.HashMap[Int, Int]()
+  /** Induced subgraph on the given local vertex indices (original ids kept).
+    * `keep` may be in any order; its indices must be distinct and in range.
+    */
+  def induced(keep: Array[Int]): AdjGraph = inducedVia(keep, Array.fill(n)(-1))
+
+  /** The induced subgraph on each index set of `parts`; one remap array
+    * serves them all.
+    */
+  def inducedAll(parts: Vector[Array[Int]]): Vector[AdjGraph] = {
+    val remap = Array.fill(n)(-1)
+    parts.map(inducedVia(_, remap))
+  }
+
+  /** `remap` maps old to new indices; it is all -1 on entry and on return. */
+  private def inducedVia(keep: Array[Int], remap: Array[Int]): AdjGraph = {
     val sorted = keep.clone()
     java.util.Arrays.sort(sorted)
+    val size = sorted.length
     var i = 0
-    while (i < sorted.length) { map.put(sorted(i), i); i += 1 }
-    val newIds = sorted.map(ids)
-    val degs = new Array[Int](sorted.length)
-    i = 0
-    while (i < sorted.length) {
+    while (i < size) {
       val v = sorted(i)
-      foreachNeighbor(v) { w => if (map.contains(w)) degs(i) += 1 }
+      require(v >= 0 && v < n, s"induced: vertex index $v is out of range 0 until $n")
+      require(remap(v) < 0, s"induced: vertex index $v is listed twice")
+      remap(v) = i
       i += 1
     }
-    val newOffsets = new Array[Int](sorted.length + 1)
+    val newIds = new Array[Long](size)
+    val newOffsets = new Array[Int](size + 1)
     i = 0
-    while (i < sorted.length) { newOffsets(i + 1) = newOffsets(i) + degs(i); i += 1 }
-    val newAdj = new Array[Int](newOffsets(sorted.length))
-    val cursor = newOffsets.clone()
-    i = 0
-    while (i < sorted.length) {
+    while (i < size) {
       val v = sorted(i)
-      foreachNeighbor(v) { w =>
-        map.get(w) match {
-          case Some(j) => newAdj(cursor(i)) = j; cursor(i) += 1
-          case None    => ()
-        }
-      }
+      newIds(i) = ids(v)
+      var d = 0
+      var j = offsets(v)
+      while (j < offsets(v + 1)) { if (remap(adj(j)) >= 0) d += 1; j += 1 }
+      newOffsets(i + 1) = newOffsets(i) + d
       i += 1
     }
     // Neighbor lists stay sorted because `sorted` preserves index order.
+    val newAdj = new Array[Int](newOffsets(size))
+    var p = 0
+    i = 0
+    while (i < size) {
+      val v = sorted(i)
+      var j = offsets(v)
+      while (j < offsets(v + 1)) {
+        val w = remap(adj(j))
+        if (w >= 0) { newAdj(p) = w; p += 1 }
+        j += 1
+      }
+      i += 1
+    }
+    i = 0
+    while (i < size) { remap(sorted(i)) = -1; i += 1 }
     new AdjGraph(newIds, newOffsets, newAdj)
   }
 

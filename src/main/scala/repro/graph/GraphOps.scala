@@ -33,27 +33,35 @@ object GraphOps {
     if (keep.length == g.n) g else g.induced(keep)
   }
 
-  /** Connected components as arrays of local indices (BFS). */
-  def connectedComponents(g: AdjGraph): Vector[Array[Int]] = {
-    val comp = Array.fill(g.n)(-1)
+  /** Connected components as arrays of local indices (BFS), in order of
+    * their smallest vertex, each in BFS order. The vertices in `exclude`
+    * belong to no component and are not crossed, so the result is the
+    * components of `g` minus `exclude`.
+    */
+  def connectedComponents(g: AdjGraph, exclude: Array[Int] = Array.emptyIntArray): Vector[Array[Int]] = {
+    val seen = new Array[Boolean](g.n)
+    exclude.foreach(seen(_) = true)
+    // Every vertex is queued once, so each component is a segment of `queue`.
+    val queue = new Array[Int](g.n)
+    var tail = 0
     val out = Vector.newBuilder[Array[Int]]
-    val queue = new mutable.ArrayDeque[Int]()
     var v = 0
-    var c = 0
     while (v < g.n) {
-      if (comp(v) == -1) {
-        val members = mutable.ArrayBuilder.make[Int]
-        comp(v) = c
-        queue.append(v)
-        while (queue.nonEmpty) {
-          val u = queue.removeHead()
-          members += u
-          g.foreachNeighbor(u) { w =>
-            if (comp(w) == -1) { comp(w) = c; queue.append(w) }
+      if (!seen(v)) {
+        val start = tail
+        seen(v) = true
+        queue(tail) = v; tail += 1
+        var head = start
+        while (head < tail) {
+          val u = queue(head); head += 1
+          var j = g.offsets(u)
+          while (j < g.offsets(u + 1)) {
+            val w = g.adj(j)
+            if (!seen(w)) { seen(w) = true; queue(tail) = w; tail += 1 }
+            j += 1
           }
         }
-        out += members.result()
-        c += 1
+        out += java.util.Arrays.copyOfRange(queue, start, tail)
       }
       v += 1
     }
@@ -63,7 +71,7 @@ object GraphOps {
   /** Connected components as induced subgraphs. */
   def componentSubgraphs(g: AdjGraph): Vector[AdjGraph] = {
     val comps = connectedComponents(g)
-    if (comps.length == 1) Vector(g) else comps.map(g.induced)
+    if (comps.length == 1) Vector(g) else g.inducedAll(comps)
   }
 
   /** True iff `g` is connected (the empty graph counts as connected). */

@@ -61,4 +61,30 @@ class OverlapSpec extends SparkSpec {
       }
     }
   }
+
+  /** `partition` as it was: build the remainder subgraph, then take its
+    * components; kept as a reference for the part order and contents.
+    */
+  private def partitionViaRemainder(g: AdjGraph, cut: Array[Int]): Vector[AdjGraph] = {
+    val keep = (0 until g.n).filterNot(cut.contains).toArray
+    GraphOps.connectedComponents(g.induced(keep)).map(comp => g.induced(comp.map(keep) ++ cut))
+  }
+
+  for (seed <- 1 to 10) {
+    test(s"partition gives the parts of the remainder subgraph, byte for byte (seed=$seed)") {
+      val rnd = new scala.util.Random(seed)
+      val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(40, 0.08, seed))
+      for (_ <- 1 to 20) {
+        val cut = rnd.shuffle((0 until g.n).toVector).take(1 + rnd.nextInt(6)).toArray
+        if (GraphOps.connectedComponents(g, exclude = cut).length >= 2) {
+          val got = Overlap.partition(g, cut)
+          val expected = partitionViaRemainder(g, cut)
+          assert(got.length == expected.length)
+          got.zip(expected).foreach { case (a, b) =>
+            assert(a.ids.sameElements(b.ids) && a.offsets.sameElements(b.offsets) && a.adj.sameElements(b.adj))
+          }
+        }
+      }
+    }
+  }
 }

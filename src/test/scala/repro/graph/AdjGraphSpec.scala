@@ -99,4 +99,38 @@ class AdjGraphSpec extends SparkSpec {
     assert(g.n == 4)
     assert(g.ids.toSeq == Seq(0L, 1L, 2L, 3L))
   }
+
+  /** `induced` as it was with a boxed `HashMap` remap, kept as a reference. */
+  private def inducedViaHashMap(g: AdjGraph, keep: Array[Int]): AdjGraph = {
+    val map = new scala.collection.mutable.HashMap[Int, Int]()
+    val sorted = keep.sorted
+    sorted.indices.foreach(i => map.put(sorted(i), i))
+    val lists = sorted.map(v => g.neighbors(v).flatMap(map.get).toArray)
+    AdjGraph.unsafe(sorted.map(g.ids), lists.scanLeft(0)(_ + _.length), lists.flatten)
+  }
+
+  for (seed <- 1 to 20) {
+    test(s"induced and inducedAll match a HashMap remap on unsorted keep-sets (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 5 + rnd.nextInt(60)
+      val edges = Vector.fill(rnd.nextInt(4 * n))((rnd.nextInt(n).toLong * 7 - 50, rnd.nextInt(n).toLong * 7 - 50))
+      val g = AdjGraph.fromEdges(edges)
+      val keeps = Vector.fill(4)(rnd.shuffle((0 until g.n).toVector).take(rnd.nextInt(g.n + 1)).toArray)
+      val expected = keeps.map(inducedViaHashMap(g, _))
+      def same(a: AdjGraph, b: AdjGraph): Boolean =
+        a.ids.sameElements(b.ids) && a.offsets.sameElements(b.offsets) && a.adj.sameElements(b.adj)
+      keeps.indices.foreach(i => assert(same(g.induced(keeps(i)), expected(i)), s"keep ${keeps(i).toSeq}"))
+      assert(g.inducedAll(keeps).corresponds(expected)(same))
+    }
+  }
+
+  test("induced rejects a duplicate or out-of-range index and names it") {
+    val g = AdjGraph.fromEdges(Seq((1L, 2L), (2L, 3L), (3L, 4L)))
+    val dup = intercept[IllegalArgumentException](g.induced(Array(2, 0, 2)))
+    assert(dup.getMessage.contains("vertex index 2 is listed twice"))
+    val high = intercept[IllegalArgumentException](g.induced(Array(0, 4)))
+    assert(high.getMessage.contains("vertex index 4 is out of range 0 until 4"))
+    val low = intercept[IllegalArgumentException](g.inducedAll(Vector(Array(1), Array(-1, 2))))
+    assert(low.getMessage.contains("vertex index -1 is out of range"))
+  }
 }

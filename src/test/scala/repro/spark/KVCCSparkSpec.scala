@@ -58,7 +58,7 @@ class KVCCSparkSpec extends SparkSpec {
     "globalCutCalls" -> s.globalCutCalls, "partitions" -> s.partitions, "flowTests" -> s.flowTests,
     "phase1Processed" -> s.phase1Processed, "phase1Tested" -> s.phase1Tested,
     "prunedNs1" -> s.prunedNs1, "prunedNs2" -> s.prunedNs2, "prunedGs" -> s.prunedGs,
-    "flowPhases" -> s.flowPhases, "augmentingPaths" -> s.augmentingPaths)
+    "flowPhases" -> s.flowPhases, "augmentingPaths" -> s.augmentingPaths, "maxDepth" -> s.maxDepth)
 
   private val statsInputs = Seq(
     ("two planted clusters, k=4", () => twoClusters(11, 12, k = 4), 4),
