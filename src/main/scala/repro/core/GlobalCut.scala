@@ -14,11 +14,12 @@ import repro.graph.AdjGraph
 object GlobalCut {
 
   /** Returns Some(cut local indices) with |cut| < k, or None if k-connected.
-    * `stats`, when provided, tallies LOC-CUT invocations (flow tests) and
-    * their max-flow phases and augmenting paths.
+    * `stats`, when provided, tallies the certificate's scanned arcs and
+    * LOC-CUT invocations (flow tests) with their max-flow phases and
+    * augmenting paths.
     */
   def find(g: AdjGraph, k: Int, stats: KvccStats = new KvccStats): Option[Array[Int]] = {
-    val cert = SparseCertificate.compute(g, k).graph
+    val cert = SparseCertificate.compute(g, k, stats).graph
     val fn = new FlowNetwork(cert, stats)
     val u = cert.minDegreeVertex
     val n = cert.n
@@ -35,13 +36,15 @@ object GlobalCut {
       v += 1
     }
     // Phase 2: pairs of neighbors of u.
-    val nb = cert.neighbors(u)
-    var i = 0
-    while (i < nb.length) {
+    val adj = cert.adj
+    val end = cert.offsets(u + 1)
+    var i = cert.offsets(u)
+    while (i < end) {
       var j = i + 1
-      while (j < nb.length) {
-        if (!cert.hasEdge(nb(i), nb(j))) stats.flowTests += 1
-        val cut = LocalConnectivity.locCut(fn, cert, nb(i), nb(j), k)
+      while (j < end) {
+        val a = adj(i); val b = adj(j)
+        if (!cert.hasEdge(a, b)) stats.flowTests += 1
+        val cut = LocalConnectivity.locCut(fn, cert, a, b, k)
         if (cut.isDefined) return cut
         j += 1
       }

@@ -61,13 +61,15 @@ object VertexConnectivity {
       v += 1
     }
     // Phase 2: all non-adjacent pairs of neighbors of u.
-    val nb = g.neighbors(u)
-    var i = 0
-    while (i < nb.length) {
+    val adj = g.adj
+    val end = g.offsets(u + 1)
+    var i = g.offsets(u)
+    while (i < end) {
       var j = i + 1
-      while (j < nb.length) {
-        if (!g.hasEdge(nb(i), nb(j))) {
-          val c = LocalConnectivity.connectivityUpTo(fn, g, nb(i), nb(j), best)
+      while (j < end) {
+        val a = adj(i); val b = adj(j)
+        if (!g.hasEdge(a, b)) {
+          val c = LocalConnectivity.connectivityUpTo(fn, g, a, b, best)
           if (c < best) best = c
         }
         j += 1

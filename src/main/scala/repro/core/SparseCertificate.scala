@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.AdjGraph
-import scala.collection.mutable
 
 /** Sparse certificate of k-vertex connectivity (Section 4.2, Theorem 5).
   *
@@ -16,123 +15,158 @@ import scala.collection.mutable
   * last forest `F_k`. Any two vertices in the same component of `F_k` are
   * local-k-connected, so each component is a side-group; only groups with
   * more than k vertices are useful for sweeping and are returned.
+  *
+  * Compacting passes: pass p reads only the edges of
+  * G_p = G − (F_1 ∪ … ∪ F_{p−1}). A working copy of the adjacency keeps a
+  * live end per vertex; while x is scanned it writes back, in their original
+  * order, the neighbours it keeps, and drops the edges that join F_p: its
+  * parent edge and the tree edges it adds. When x is scanned its parent edge
+  * is the only F_p edge in its list (children are added during the scan, and
+  * nobody adds an edge to x once x is visited), so after the pass x's list is
+  * exactly its G_{p+1} list in sorted order, and every pass visits and
+  * parents the vertices as a scan that skips taken edges would. The
+  * certificate is then G − G_{k+1}, list by list.
+  *
+  * G is the edge set `FlowNetwork` reads: {v, w} with v < w listed by v. On
+  * an `AdjGraph` built by `fromEdges` or `induced` that is every edge.
   */
 object SparseCertificate {
 
   /** `graph` shares the local index space (and `ids`) of the input graph;
-    * `sideGroups` holds local-index groups (components of F_k, size > k).
+    * `sideGroups` holds local-index groups (components of F_k, size > k),
+    * each sorted, in component order.
     */
   final case class Cert(graph: AdjGraph, sideGroups: Vector[Array[Int]])
 
-  def compute(g: AdjGraph, k: Int): Cert = {
+  /** `stats.certArcsScanned` receives the adjacency slots the passes read. */
+  def compute(g: AdjGraph, k: Int, stats: KvccStats = new KvccStats): Cert = {
     require(k >= 1, s"k must be >= 1, got $k")
     val n = g.n
     if (n == 0) return Cert(g, Vector.empty)
 
-    // Edge-id view of the graph: edge e = (edgeU(e), edgeV(e)).
-    val m = g.m
-    val edgeU = new Array[Int](m)
-    val edgeV = new Array[Int](m)
-    // Incident edge ids per vertex, CSR.
-    val incOffsets = new Array[Int](n + 1)
+    // The edges {v, w} with v < w that v lists (the edges FlowNetwork builds
+    // arcs from), as sorted lists: each v appends itself to its upper
+    // neighbours' lists in ascending order, then copies its own upper part.
+    val gOff = g.offsets
+    val gAdj = g.adj
+    val start = new Array[Int](n + 1)
+    val upper = new Array[Int](n) // first entry of v's list above v
     var v = 0
-    while (v < n) { incOffsets(v + 1) = incOffsets(v) + g.degree(v); v += 1 }
-    val incEdge = new Array[Int](incOffsets(n))
-    val cursor = incOffsets.clone()
-    var eid = 0
+    while (v < n) {
+      var i = gOff(v)
+      val e = gOff(v + 1)
+      while (i < e && gAdj(i) <= v) i += 1
+      upper(v) = i
+      start(v + 1) += e - i
+      while (i < e) { start(gAdj(i) + 1) += 1; i += 1 }
+      v += 1
+    }
+    v = 0
+    while (v < n) { start(v + 1) += start(v); v += 1 }
+    val full = new Array[Int](start(n))
+    val end = java.util.Arrays.copyOf(start, n) // live end of each working list
     v = 0
     while (v < n) {
-      g.foreachNeighbor(v) { w =>
-        if (v < w) {
-          edgeU(eid) = v; edgeV(eid) = w
-          incEdge(cursor(v)) = eid; cursor(v) += 1
-          incEdge(cursor(w)) = eid; cursor(w) += 1
-          eid += 1
-        }
+      var i = upper(v)
+      while (i < gOff(v + 1)) {
+        val w = gAdj(i)
+        full(end(v)) = w; end(v) += 1
+        full(end(w)) = v; end(w) += 1
+        i += 1
       }
       v += 1
     }
+    val work = full.clone()
 
-    val inCert = new Array[Boolean](m) // edge assigned to some forest F_i
-    val visited = new Array[Int](n)    // pass stamp, 0 = never
+    val visited = new Array[Int](n) // pass stamp, 0 = never
+    val parent = new Array[Int](n)
     val queue = new Array[Int](n)
-    var lastForestComp: Array[Int] = null
+    val comp = new Array[Int](n)    // component of x in the current forest
+    var numComps = 0
+    var scanned = 0L
 
     var pass = 1
     while (pass <= k) {
-      java.util.Arrays.fill(visited, 0)
-      val comp = if (pass == k) new Array[Int](n) else null
+      numComps = 0
       var root = 0
-      var compId = 0
       while (root < n) {
-        if (visited(root) == 0) {
+        if (visited(root) != pass) {
           visited(root) = pass
-          if (comp != null) comp(root) = compId
+          parent(root) = -1
+          comp(root) = numComps
           var qh = 0; var qt = 0
           queue(qt) = root; qt += 1
           while (qh < qt) {
             val x = queue(qh); qh += 1
-            var i = incOffsets(x)
-            val end = incOffsets(x + 1)
-            while (i < end) {
-              val e = incEdge(i)
-              if (!inCert(e)) {
-                val y = if (edgeU(e) == x) edgeV(e) else edgeU(e)
-                if (visited(y) == 0) {
+            val px = parent(x)
+            var r = start(x)
+            var w = r
+            val e = end(x)
+            scanned += e - r
+            while (r < e) {
+              val y = work(r)
+              if (y != px) {
+                if (visited(y) != pass) { // tree edge of F_pass: dropped
                   visited(y) = pass
-                  inCert(e) = true // tree edge of F_pass — removed from G_pass
-                  if (comp != null) comp(y) = compId
+                  parent(y) = x
+                  comp(y) = numComps
                   queue(qt) = y; qt += 1
+                } else {
+                  work(w) = y; w += 1
                 }
               }
-              i += 1
+              r += 1
             }
+            end(x) = w
           }
-          compId += 1
+          numComps += 1
         }
         root += 1
       }
-      if (comp != null) lastForestComp = comp
       pass += 1
     }
+    stats.certArcsScanned += scanned
 
-    // Certificate adjacency from the union of forests.
-    val certDeg = new Array[Int](n)
-    eid = 0
-    while (eid < m) {
-      if (inCert(eid)) { certDeg(edgeU(eid)) += 1; certDeg(edgeV(eid)) += 1 }
-      eid += 1
-    }
+    // The certificate is G − G_{k+1}: each full list minus the sorted
+    // subsequence the passes left in the working list.
     val certOffsets = new Array[Int](n + 1)
     v = 0
-    while (v < n) { certOffsets(v + 1) = certOffsets(v) + certDeg(v); v += 1 }
+    while (v < n) { certOffsets(v + 1) = certOffsets(v) + (start(v + 1) - end(v)); v += 1 }
     val certAdj = new Array[Int](certOffsets(n))
-    val ccur = certOffsets.clone()
-    eid = 0
-    while (eid < m) {
-      if (inCert(eid)) {
-        val a = edgeU(eid); val b = edgeV(eid)
-        certAdj(ccur(a)) = b; ccur(a) += 1
-        certAdj(ccur(b)) = a; ccur(b) += 1
-      }
-      eid += 1
-    }
+    var p = 0
     v = 0
-    while (v < n) { java.util.Arrays.sort(certAdj, certOffsets(v), certOffsets(v + 1)); v += 1 }
+    while (v < n) {
+      var j = start(v)
+      val e = end(v)
+      var i = start(v)
+      while (i < start(v + 1)) {
+        val y = full(i)
+        if (j < e && work(j) == y) j += 1
+        else { certAdj(p) = y; p += 1 }
+        i += 1
+      }
+      v += 1
+    }
     val cert = AdjGraph.unsafe(g.ids, certOffsets, certAdj)
 
-    // Side-groups: components of F_k with more than k members.
-    val groups: Vector[Array[Int]] =
-      if (lastForestComp == null) Vector.empty
-      else {
-        val byComp = new mutable.HashMap[Int, mutable.ArrayBuilder.ofInt]()
-        var i = 0
-        while (i < n) {
-          byComp.getOrElseUpdate(lastForestComp(i), new mutable.ArrayBuilder.ofInt) += i
-          i += 1
-        }
-        byComp.valuesIterator.map(_.result()).filter(_.length > k).toVector
-      }
-    Cert(cert, groups)
+    // Side-groups: components of F_k with more than k members, filled by a
+    // counting sort of the component labels (`size` is then each fill cursor).
+    val size = new Array[Int](numComps)
+    v = 0
+    while (v < n) { size(comp(v)) += 1; v += 1 }
+    val members = new Array[Array[Int]](numComps)
+    var c = 0
+    while (c < numComps) {
+      if (size(c) > k) members(c) = new Array[Int](size(c))
+      size(c) = 0
+      c += 1
+    }
+    v = 0
+    while (v < n) {
+      val cv = comp(v)
+      if (members(cv) != null) { members(cv)(size(cv)) = v; size(cv) += 1 }
+      v += 1
+    }
+    Cert(cert, members.iterator.filter(_ != null).toVector)
   }
 }

@@ -41,6 +41,7 @@ final class KvccStats extends Serializable {
   var flowPhases: Long = 0      // residual BFS rounds in LOC-CUT max-flows
   var augmentingPaths: Long = 0 // flow units pushed by those max-flows
   var maxDepth: Long = 0        // partition-tree depth (the input graph is depth 0)
+  var certArcsScanned: Long = 0 // adjacency slots read by the certificate passes
 
   /** Adds `o`'s counters into this one; `maxDepth` takes the larger of the two. */
   def add(o: KvccStats): Unit = {
@@ -55,6 +56,7 @@ final class KvccStats extends Serializable {
     flowPhases += o.flowPhases
     augmentingPaths += o.augmentingPaths
     maxDepth = math.max(maxDepth, o.maxDepth)
+    certArcsScanned += o.certArcsScanned
   }
 
   def proportionNs1: Double = ratio(prunedNs1)
@@ -67,7 +69,7 @@ final class KvccStats extends Serializable {
   override def toString: String =
     f"KvccStats(calls=$globalCutCalls, partitions=$partitions, flows=$flowTests, " +
       f"NS1=$proportionNs1%.2f, NS2=$proportionNs2%.2f, GS=$proportionGs%.2f, nonPru=$proportionNonPruned%.2f, " +
-      f"phases=$flowPhases, paths=$augmentingPaths, depth=$maxDepth)"
+      f"phases=$flowPhases, paths=$augmentingPaths, depth=$maxDepth, certArcs=$certArcsScanned)"
 }
 
 /** Strong side-vertex detection (Definition 10 / Theorem 8): u is a strong
@@ -100,13 +102,14 @@ final class StrongSideVertex(g: AdjGraph, k: Int) {
     case 1 => true
     case 2 => false
     case _ =>
-      val nb = g.neighbors(u)
+      val adj = g.adj
+      val end = g.offsets(u + 1)
       var good = true
-      var i = 0
-      while (good && i < nb.length) {
+      var i = g.offsets(u)
+      while (good && i < end) {
         var j = i + 1
-        while (good && j < nb.length) {
-          if (!ok(nb(i), nb(j))) good = false
+        while (good && j < end) {
+          if (!ok(adj(i), adj(j))) good = false
           j += 1
         }
         i += 1
@@ -141,7 +144,7 @@ object GlobalCutStar {
   private final val RuleGs: Byte = 3
 
   def find(g: AdjGraph, k: Int, variant: Variant, stats: KvccStats = new KvccStats): Option[Array[Int]] = {
-    val SparseCertificate.Cert(cert, allGroups) = SparseCertificate.compute(g, k)
+    val SparseCertificate.Cert(cert, allGroups) = SparseCertificate.compute(g, k, stats)
     val n = cert.n
     val fn = new FlowNetwork(cert, stats)
 
@@ -259,12 +262,13 @@ object GlobalCutStar {
 
     // Phase 2: only needed when the source might itself be in a cut.
     if (!ssv(u)) {
-      val nb = cert.neighbors(u)
-      var i = 0
-      while (i < nb.length) {
+      val adj = cert.adj
+      val end = cert.offsets(u + 1)
+      var i = cert.offsets(u)
+      while (i < end) {
         var j = i + 1
-        while (j < nb.length) {
-          val a = nb(i); val b = nb(j)
+        while (j < end) {
+          val a = adj(i); val b = adj(j)
           // Group sweep rule 3: same side-group ⇒ local-k-connected.
           val sameGroup = variant.groupSweep && groupOf(a) >= 0 && groupOf(a) == groupOf(b)
           if (!sameGroup) {

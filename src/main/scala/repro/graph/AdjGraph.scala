@@ -24,7 +24,9 @@ final class AdjGraph private[graph] (
   /** Degree of local vertex `v`. */
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
-  /** Sorted neighbor local indices of `v` (a cheap array slice view). */
+  /** Sorted neighbor local indices of `v`, as a boxing view for tests; main
+    * code indexes `offsets`/`adj` directly.
+    */
   def neighbors(v: Int): IndexedSeq[Int] = new IndexedSeq[Int] {
     private val base = offsets(v)
     def length: Int = offsets(v + 1) - base

@@ -58,7 +58,8 @@ class KVCCSparkSpec extends SparkSpec {
     "globalCutCalls" -> s.globalCutCalls, "partitions" -> s.partitions, "flowTests" -> s.flowTests,
     "phase1Processed" -> s.phase1Processed, "phase1Tested" -> s.phase1Tested,
     "prunedNs1" -> s.prunedNs1, "prunedNs2" -> s.prunedNs2, "prunedGs" -> s.prunedGs,
-    "flowPhases" -> s.flowPhases, "augmentingPaths" -> s.augmentingPaths, "maxDepth" -> s.maxDepth)
+    "flowPhases" -> s.flowPhases, "augmentingPaths" -> s.augmentingPaths, "maxDepth" -> s.maxDepth,
+    "certArcsScanned" -> s.certArcsScanned)
 
   private val statsInputs = Seq(
     ("two planted clusters, k=4", () => twoClusters(11, 12, k = 4), 4),
